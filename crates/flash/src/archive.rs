@@ -38,7 +38,7 @@ use hams_sim::Nanos;
 use serde::{Deserialize, Serialize};
 
 use crate::device::{
-    IoCompletion, PowerLossReport, SsdConfig, SsdDevice, SsdError, SsdStats, LBA_SIZE,
+    IoCompletion, IoRange, PowerLossReport, SsdConfig, SsdDevice, SsdError, SsdStats, LBA_SIZE,
 };
 use crate::dram::DramStats;
 use crate::fault::{ArrayState, FaultInjector, FaultKind, FaultPlan, FaultStats, RebuildSpan};
@@ -537,42 +537,36 @@ impl ArchiveSet {
         now: Nanos,
         fua: bool,
     ) -> Result<IoCompletion, SsdError> {
+        let range = IoRange::of(cmd);
         if self.fault.is_some() {
-            return self.service_faulted(cmd, now, fua);
+            return self.service_faulted(range, now, fua);
         }
-        let serve = |device: &mut SsdDevice, cmd: &NvmeCommand, now| {
-            if fua {
-                device.service_forcing_fua(cmd, now)
-            } else {
-                device.service(cmd, now)
-            }
-        };
         if self.devices.len() == 1 {
-            return serve(&mut self.devices[0], cmd, now);
+            return self.devices[0].service_range(range, fua, now);
         }
-        if cmd.opcode == NvmeOpcode::Flush {
-            return self.broadcast_flush(cmd, now);
+        if range.opcode == NvmeOpcode::Flush {
+            return self.broadcast_flush(range, now);
         }
-        if cmd.length == 0 {
-            let device = usize::from(self.device_of_slba(cmd.slba));
-            let mut local = cmd.clone();
-            local.slba = self.local_slba(device, cmd.slba);
-            return serve(&mut self.devices[device], &local, now);
+        if range.length == 0 {
+            let device = usize::from(self.device_of_slba(range.slba));
+            let local = range.at(self.local_slba(device, range.slba), 0);
+            return self.devices[device].service_range(local, fua, now);
         }
 
         let stripe_bytes = self.stripe_lbas * LBA_SIZE;
-        let start = cmd.slba * LBA_SIZE;
-        let end = start + cmd.length;
+        let start = range.slba * LBA_SIZE;
+        let end = start + range.length;
         let mut merged: Option<IoCompletion> = None;
         let mut offset = start;
         while offset < end {
             let stripe_end = (offset / stripe_bytes + 1) * stripe_bytes;
             let segment_end = end.min(stripe_end);
             let device = usize::from(self.device_of_slba(offset / LBA_SIZE));
-            let mut segment = cmd.clone();
-            segment.slba = self.local_slba(device, offset / LBA_SIZE);
-            segment.length = segment_end - offset;
-            let completion = serve(&mut self.devices[device], &segment, now)?;
+            let segment = range.at(
+                self.local_slba(device, offset / LBA_SIZE),
+                segment_end - offset,
+            );
+            let completion = self.devices[device].service_range(segment, fua, now)?;
             merged = Some(merge_completion(merged, completion));
             offset = segment_end;
         }
@@ -588,14 +582,14 @@ impl ArchiveSet {
     /// identity local addressing of the striped paths applies throughout.
     fn service_faulted(
         &mut self,
-        cmd: &NvmeCommand,
+        range: IoRange,
         now: Nanos,
         fua: bool,
     ) -> Result<IoCompletion, SsdError> {
         if let Some(injector) = self.fault.as_mut() {
             injector.poll(now, &mut self.devices);
         }
-        if cmd.opcode == NvmeOpcode::Flush {
+        if range.opcode == NvmeOpcode::Flush {
             let injector = self.fault.as_mut().expect("faulted path has an injector");
             let mut merged: Option<IoCompletion> = None;
             let mut skipped = false;
@@ -604,7 +598,7 @@ impl ArchiveSet {
                     skipped = true;
                     continue;
                 }
-                let completion = device.service(cmd, now)?;
+                let completion = device.service_range(range, false, now)?;
                 merged = Some(merge_completion(merged, completion));
             }
             if skipped {
@@ -612,20 +606,18 @@ impl ArchiveSet {
             }
             return Ok(merged.expect("a degraded array keeps at least one survivor online"));
         }
-        if cmd.length == 0 {
-            return self.serve_segment_faulted(cmd.clone(), now, fua);
+        if range.length == 0 {
+            return self.serve_segment_faulted(range, now, fua);
         }
         let stripe_bytes = self.stripe_lbas * LBA_SIZE;
-        let start = cmd.slba * LBA_SIZE;
-        let end = start + cmd.length;
+        let start = range.slba * LBA_SIZE;
+        let end = start + range.length;
         let mut merged: Option<IoCompletion> = None;
         let mut offset = start;
         while offset < end {
             let stripe_end = (offset / stripe_bytes + 1) * stripe_bytes;
             let segment_end = end.min(stripe_end);
-            let mut segment = cmd.clone();
-            segment.slba = offset / LBA_SIZE;
-            segment.length = segment_end - offset;
+            let segment = range.at(offset / LBA_SIZE, segment_end - offset);
             let completion = self.serve_segment_faulted(segment, now, fua)?;
             merged = Some(merge_completion(merged, completion));
             offset = segment_end;
@@ -635,7 +627,7 @@ impl ArchiveSet {
 
     fn serve_segment_faulted(
         &mut self,
-        segment: NvmeCommand,
+        segment: IoRange,
         now: Nanos,
         fua: bool,
     ) -> Result<IoCompletion, SsdError> {
@@ -648,19 +640,12 @@ impl ArchiveSet {
         let injector = self.fault.as_mut().expect("faulted path has an injector");
         match segment.opcode {
             NvmeOpcode::Read if injector.read_is_degraded(device, segment.slba) => {
-                Ok(injector.reconstruct_read(&mut self.devices, &segment, now))
+                Ok(injector.reconstruct_read(&mut self.devices, segment, now))
             }
             NvmeOpcode::Write if injector.write_is_degraded(device) => {
-                injector.absorb_write(&mut self.devices, &segment, now, fua)
+                injector.absorb_write(&mut self.devices, segment, now, fua)
             }
-            _ => {
-                let target = &mut self.devices[usize::from(device)];
-                if fua {
-                    target.service_forcing_fua(&segment, now)
-                } else {
-                    target.service(&segment, now)
-                }
-            }
+            _ => self.devices[usize::from(device)].service_range(segment, fua, now),
         }
     }
 
@@ -686,10 +671,10 @@ impl ArchiveSet {
         }
     }
 
-    fn broadcast_flush(&mut self, cmd: &NvmeCommand, now: Nanos) -> Result<IoCompletion, SsdError> {
+    fn broadcast_flush(&mut self, flush: IoRange, now: Nanos) -> Result<IoCompletion, SsdError> {
         let mut merged: Option<IoCompletion> = None;
         for device in &mut self.devices {
-            let completion = device.service(cmd, now)?;
+            let completion = device.service_range(flush, false, now)?;
             merged = Some(merge_completion(merged, completion));
         }
         Ok(merged.expect("archive set holds at least one device"))

@@ -162,6 +162,37 @@ impl std::fmt::Display for SsdError {
 
 impl std::error::Error for SsdError {}
 
+/// What the device reads of a command: its opcode and LBA range. The
+/// archive routes stripe segments, reconstruction reads and rebuild rows as
+/// ranges, so none of them builds (or clones) a full [`NvmeCommand`] with its
+/// PRP list just to change the address.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IoRange {
+    pub(crate) opcode: NvmeOpcode,
+    pub(crate) slba: u64,
+    pub(crate) length: u64,
+}
+
+impl IoRange {
+    /// The range `cmd` addresses.
+    pub(crate) fn of(cmd: &NvmeCommand) -> Self {
+        IoRange {
+            opcode: cmd.opcode,
+            slba: cmd.slba,
+            length: cmd.length,
+        }
+    }
+
+    /// The same operation over `length` bytes from `slba`.
+    pub(crate) fn at(self, slba: u64, length: u64) -> Self {
+        IoRange {
+            slba,
+            length,
+            ..self
+        }
+    }
+}
+
 impl From<FtlError> for SsdError {
     fn from(e: FtlError) -> Self {
         match e {
@@ -291,59 +322,43 @@ impl SsdDevice {
     /// Returns [`SsdError::OutOfRange`] or [`SsdError::OutOfSpace`] when the
     /// command cannot be served.
     pub fn service(&mut self, cmd: &NvmeCommand, now: Nanos) -> Result<IoCompletion, SsdError> {
-        self.service_with_fua(cmd, now, cmd.fua)
+        self.service_range(IoRange::of(cmd), cmd.fua, now)
     }
 
-    /// [`Self::service`] with the force-unit-access bit treated as set,
-    /// whatever the borrowed command carries. Power-failure recovery uses
-    /// this to push re-issued journal commands straight to the medium
-    /// without cloning each command (PRP list and all) just to flip one
-    /// bit; timing is exactly `service` of the same command with
-    /// `fua = true`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SsdError::OutOfRange`] or [`SsdError::OutOfSpace`] when the
-    /// command cannot be served.
-    pub fn service_forcing_fua(
+    /// Services `range` issued at `now`, with force-unit-access `fua` — the
+    /// entry [`Self::service`] delegates to, and the one the archive uses
+    /// for stripe segments, FUA re-issue, reconstruction and rebuild.
+    pub(crate) fn service_range(
         &mut self,
-        cmd: &NvmeCommand,
-        now: Nanos,
-    ) -> Result<IoCompletion, SsdError> {
-        self.service_with_fua(cmd, now, true)
-    }
-
-    fn service_with_fua(
-        &mut self,
-        cmd: &NvmeCommand,
-        now: Nanos,
+        range: IoRange,
         fua: bool,
+        now: Nanos,
     ) -> Result<IoCompletion, SsdError> {
-        match cmd.opcode {
-            NvmeOpcode::Read => self.service_read(cmd, now),
-            NvmeOpcode::Write => self.service_write(cmd, now, fua),
+        match range.opcode {
+            NvmeOpcode::Read => self.service_read(range, now),
+            NvmeOpcode::Write => self.service_write(range, now, fua),
             NvmeOpcode::Flush => Ok(self.service_flush(now)),
         }
     }
 
-    fn pages_of(&self, cmd: &NvmeCommand) -> (u64, u64) {
+    fn pages_of(&self, range: IoRange) -> (u64, u64) {
         let page = u64::from(self.config.geometry.page_size);
-        let start_byte = cmd.slba * LBA_SIZE;
+        let start_byte = range.slba * LBA_SIZE;
         let first = start_byte / page;
-        let last = if cmd.length == 0 {
+        let last = if range.length == 0 {
             first
         } else {
-            (start_byte + cmd.length - 1) / page
+            (start_byte + range.length - 1) / page
         };
         (first, last)
     }
 
-    fn service_read(&mut self, cmd: &NvmeCommand, now: Nanos) -> Result<IoCompletion, SsdError> {
+    fn service_read(&mut self, range: IoRange, now: Nanos) -> Result<IoCompletion, SsdError> {
         let timing = self.config.timing;
         let mut breakdown = LatencyBreakdown::new();
         breakdown.add(ComponentId::HIL, timing.hil_overhead);
         let start = now + timing.hil_overhead;
-        let (first, last) = self.pages_of(cmd);
+        let (first, last) = self.pages_of(range);
         let mut finish = start;
         let mut firmware_clock = start;
         let mut all_dram = true;
@@ -369,7 +384,7 @@ impl SsdDevice {
                         Some(ppn) => {
                             self.stats.page_reads += 1;
                             let c = self.fil.schedule_page(ppn, FlashOp::Read, firmware_clock);
-                            breakdown.merge(&c.breakdown());
+                            c.add_to(&mut breakdown);
                             c.finished_at
                         }
                         // Never-written page: served as zero-fill by firmware.
@@ -386,7 +401,7 @@ impl SsdDevice {
         }
 
         self.stats.read_commands += 1;
-        self.stats.bytes_read += cmd.length;
+        self.stats.bytes_read += range.length;
         Ok(IoCompletion {
             finished_at: finish,
             breakdown,
@@ -397,7 +412,7 @@ impl SsdDevice {
 
     fn service_write(
         &mut self,
-        cmd: &NvmeCommand,
+        range: IoRange,
         now: Nanos,
         fua: bool,
     ) -> Result<IoCompletion, SsdError> {
@@ -405,7 +420,7 @@ impl SsdDevice {
         let mut breakdown = LatencyBreakdown::new();
         breakdown.add(ComponentId::HIL, timing.hil_overhead);
         let start = now + timing.hil_overhead;
-        let (first, last) = self.pages_of(cmd);
+        let (first, last) = self.pages_of(range);
         let mut finish = start;
         let mut firmware_clock = start;
         let mut all_dram = true;
@@ -434,7 +449,7 @@ impl SsdDevice {
                 let c = self
                     .fil
                     .schedule_page(outcome.ppn, FlashOp::Program, firmware_clock);
-                breakdown.merge(&c.breakdown());
+                c.add_to(&mut breakdown);
                 let mut done = c.finished_at;
                 // GC work triggered by this write delays it (foreground GC).
                 for (_, new_ppn) in &outcome.relocated {
@@ -452,7 +467,7 @@ impl SsdDevice {
         }
 
         self.stats.write_commands += 1;
-        self.stats.bytes_written += cmd.length;
+        self.stats.bytes_written += range.length;
         Ok(IoCompletion {
             finished_at: finish,
             breakdown,
@@ -472,7 +487,7 @@ impl SsdDevice {
                 self.stats.page_programs += 1;
                 let c = self.fil.schedule_page(outcome.ppn, FlashOp::Program, start);
                 finish = finish.max(c.finished_at);
-                breakdown.merge(&c.breakdown());
+                c.add_to(&mut breakdown);
             }
         }
         self.stats.flush_commands += 1;

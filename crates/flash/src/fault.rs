@@ -33,11 +33,11 @@
 //!   simulated clock carried by the (serial) archive command stream, so the
 //!   same plan yields byte-identical metrics across runs and thread counts.
 
-use hams_nvme::{NvmeCommand, PrpList};
+use hams_nvme::NvmeOpcode;
 use hams_sim::Nanos;
 use serde::{Deserialize, Serialize};
 
-use crate::device::{IoCompletion, SsdDevice, LBA_SIZE};
+use crate::device::{IoCompletion, IoRange, SsdDevice, SsdError, LBA_SIZE};
 
 /// How a device fails and how it comes back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -635,17 +635,23 @@ impl FaultInjector {
             if peer == down {
                 continue;
             }
-            let slba = self.layout.stripe_slba(row, peer);
-            let read = NvmeCommand::read(1, slba, bytes, PrpList::single(0));
-            if let Ok(done) = devices[usize::from(peer)].service(&read, at) {
+            let read = IoRange {
+                opcode: NvmeOpcode::Read,
+                slba: self.layout.stripe_slba(row, peer),
+                length: bytes,
+            };
+            if let Ok(done) = devices[usize::from(peer)].service_range(read, false, at) {
                 finish = finish.max(done.finished_at);
                 self.stats.rebuild_reads += 1;
             }
         }
         finish += self.xor_cost(bytes);
-        let slba = self.layout.stripe_slba(row, down);
-        let write = NvmeCommand::write(1, slba, bytes, PrpList::single(0));
-        if let Ok(done) = devices[usize::from(down)].service_forcing_fua(&write, finish) {
+        let write = IoRange {
+            opcode: NvmeOpcode::Write,
+            slba: self.layout.stripe_slba(row, down),
+            length: bytes,
+        };
+        if let Ok(done) = devices[usize::from(down)].service_range(write, true, finish) {
             finish = finish.max(done.finished_at);
             self.stats.rebuild_writes += 1;
         }
@@ -656,10 +662,10 @@ impl FaultInjector {
     /// `N − 1` survivor reads (same row offset on every peer stripe) plus
     /// the XOR charge. The completion finishes when the slowest survivor
     /// does, plus XOR.
-    pub fn reconstruct_read(
+    pub(crate) fn reconstruct_read(
         &mut self,
         devices: &mut [SsdDevice],
-        cmd: &NvmeCommand,
+        read: IoRange,
         now: Nanos,
     ) -> IoCompletion {
         let down = self
@@ -667,16 +673,15 @@ impl FaultInjector {
             .as_ref()
             .map(|a| a.device)
             .expect("reconstruction needs a down device");
-        let row = self.layout.row_of_slba(cmd.slba);
-        let offset = cmd.slba % self.layout.stripe_lbas;
+        let row = self.layout.row_of_slba(read.slba);
+        let offset = read.slba % self.layout.stripe_lbas;
         let mut merged: Option<IoCompletion> = None;
         for peer in 0..self.layout.devices {
             if peer == down {
                 continue;
             }
-            let slba = self.layout.stripe_slba(row, peer) + offset;
-            let read = NvmeCommand::read(cmd.nsid, slba, cmd.length, cmd.prp.clone());
-            if let Ok(done) = devices[usize::from(peer)].service(&read, now) {
+            let survivor = read.at(self.layout.stripe_slba(row, peer) + offset, read.length);
+            if let Ok(done) = devices[usize::from(peer)].service_range(survivor, false, now) {
                 self.stats.reconstruction_reads += 1;
                 merged = Some(match merged {
                     None => done,
@@ -691,7 +696,7 @@ impl FaultInjector {
             }
         }
         let mut done = merged.expect("an array of two or more devices has at least one survivor");
-        done.finished_at += self.xor_cost(cmd.length.max(LBA_SIZE));
+        done.finished_at += self.xor_cost(read.length.max(LBA_SIZE));
         self.stats.degraded_reads += 1;
         done
     }
@@ -703,26 +708,21 @@ impl FaultInjector {
     /// # Errors
     ///
     /// Propagates the absorbing device's service error.
-    pub fn absorb_write(
+    pub(crate) fn absorb_write(
         &mut self,
         devices: &mut [SsdDevice],
-        cmd: &NvmeCommand,
+        write: IoRange,
         now: Nanos,
         fua: bool,
-    ) -> Result<IoCompletion, crate::device::SsdError> {
+    ) -> Result<IoCompletion, SsdError> {
         let down = self
             .active
             .as_ref()
             .map(|a| a.device)
             .expect("absorption needs a down device");
-        let row = self.layout.row_of_slba(cmd.slba);
+        let row = self.layout.row_of_slba(write.slba);
         let target = self.layout.absorbing_device(row, down);
-        let device = &mut devices[usize::from(target)];
-        let done = if fua {
-            device.service_forcing_fua(cmd, now)?
-        } else {
-            device.service(cmd, now)?
-        };
+        let done = devices[usize::from(target)].service_range(write, fua, now)?;
         let active = self
             .active
             .as_mut()

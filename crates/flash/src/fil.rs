@@ -32,14 +32,13 @@ impl FilCompletion {
         self.finished_at - issued_at
     }
 
-    /// Expands this completion into a named latency breakdown.
-    #[must_use]
-    pub fn breakdown(&self) -> LatencyBreakdown {
-        let mut b = LatencyBreakdown::new();
-        b.add(ComponentId::FLASH_ARRAY, self.array_time);
-        b.add(ComponentId::FLASH_CHANNEL, self.transfer_time);
-        b.add(ComponentId::FLASH_QUEUE, self.queue_time);
-        b
+    /// Adds this completion's three flash components (`flash_array`,
+    /// `flash_channel`, `flash_queue`) to `breakdown` in place, so a device
+    /// accumulates every page of a command into one breakdown.
+    pub fn add_to(&self, breakdown: &mut LatencyBreakdown) {
+        breakdown.add(ComponentId::FLASH_ARRAY, self.array_time);
+        breakdown.add(ComponentId::FLASH_CHANNEL, self.transfer_time);
+        breakdown.add(ComponentId::FLASH_QUEUE, self.queue_time);
     }
 }
 
@@ -232,7 +231,8 @@ mod tests {
     fn breakdown_components_sum_to_latency_minus_wait() {
         let mut f = fil(false);
         let c = f.schedule_page(0, FlashOp::Read, Nanos::ZERO);
-        let b = c.breakdown();
+        let mut b = LatencyBreakdown::new();
+        c.add_to(&mut b);
         assert_eq!(
             b.component("flash_array") + b.component("flash_channel"),
             c.finished_at

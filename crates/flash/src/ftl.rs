@@ -102,13 +102,18 @@ struct BlockInfo {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Ftl {
     geometry: FlashGeometry,
-    /// Fraction of blocks held back as over-provisioning (not exported).
-    over_provisioning: f64,
+    /// Logical pages exported to the host: total pages minus the
+    /// over-provisioned fraction, fixed at construction.
+    exported_pages: u64,
     map: FastHashMap<u64, u64>,
     reverse: FastHashMap<u64, u64>,
     blocks: Vec<BlockInfo>,
     /// Per-plane pools of fully-erased blocks.
     free_blocks: Vec<VecDeque<usize>>,
+    /// Blocks across every plane's `free_blocks` pool, kept in step with
+    /// each pop and push so the per-write low-water check is O(1) rather
+    /// than a walk over every plane.
+    free_pool: usize,
     /// Per-plane block currently being filled, if any.
     active_blocks: Vec<Option<usize>>,
     /// Round-robin cursor used to stripe consecutive writes across planes
@@ -147,11 +152,12 @@ impl Ftl {
         }
         Ftl {
             geometry,
-            over_provisioning,
+            exported_pages: (geometry.total_pages() as f64 * (1.0 - over_provisioning)) as u64,
             map: FastHashMap::default(),
             reverse: FastHashMap::default(),
             blocks,
             free_blocks,
+            free_pool: total_blocks,
             active_blocks: vec![None; planes],
             plane_cursor: 0,
             stats: FtlStats::default(),
@@ -168,8 +174,7 @@ impl Ftl {
     /// over-provisioned space).
     #[must_use]
     pub fn exported_pages(&self) -> u64 {
-        let total = self.geometry.total_pages() as f64;
-        (total * (1.0 - self.over_provisioning)) as u64
+        self.exported_pages
     }
 
     /// Exported capacity in bytes.
@@ -187,13 +192,17 @@ impl Ftl {
     /// Number of blocks currently in the free pool.
     #[must_use]
     pub fn free_block_count(&self) -> usize {
-        self.free_blocks.iter().map(VecDeque::len).sum::<usize>()
-            + self.active_blocks.iter().filter(|b| b.is_some()).count()
+        self.free_pool + self.active_blocks.iter().filter(|b| b.is_some()).count()
     }
 
-    /// Total number of erased blocks available for allocation.
-    fn free_pool_len(&self) -> usize {
-        self.free_blocks.iter().map(VecDeque::len).sum()
+    /// Takes the next erased block from `plane`'s pool, keeping the cached
+    /// pool count in step.
+    fn pop_free(&mut self, plane: usize) -> Option<usize> {
+        let block = self.free_blocks[plane].pop_front();
+        if block.is_some() {
+            self.free_pool -= 1;
+        }
+        block
     }
 
     /// Maximum erase count across all blocks (wear indicator).
@@ -217,13 +226,13 @@ impl Ftl {
     /// capacity and [`FtlError::OutOfSpace`] if no free block can be found
     /// even after garbage collection.
     pub fn write(&mut self, lpn: u64) -> Result<WriteOutcome, FtlError> {
-        if lpn >= self.exported_pages() {
+        if lpn >= self.exported_pages {
             return Err(FtlError::LpnOutOfRange(lpn));
         }
         let mut outcome = WriteOutcome::default();
 
         // Reclaim space first if the free pool is nearly exhausted.
-        if self.free_pool_len() < 2 {
+        if self.free_pool < 2 {
             self.collect_garbage(&mut outcome)?;
         }
 
@@ -272,7 +281,7 @@ impl Ftl {
     /// Fraction of exported pages currently mapped.
     #[must_use]
     pub fn occupancy(&self) -> f64 {
-        self.map.len() as f64 / self.exported_pages() as f64
+        self.map.len() as f64 / self.exported_pages as f64
     }
 
     fn block_of(&self, ppn: u64) -> usize {
@@ -317,7 +326,7 @@ impl Ftl {
             for offset in 0..planes {
                 let plane = (self.plane_cursor + offset) % planes;
                 if self.active_blocks[plane].is_none() {
-                    self.active_blocks[plane] = self.free_blocks[plane].pop_front();
+                    self.active_blocks[plane] = self.pop_free(plane);
                 }
                 let Some(block_idx) = self.active_blocks[plane] else {
                     continue;
@@ -325,7 +334,7 @@ impl Ftl {
                 let write_ptr = self.blocks[block_idx].write_ptr;
                 if write_ptr >= self.geometry.pages_per_block {
                     // Block filled up; retire it and try to open a fresh one.
-                    self.active_blocks[plane] = self.free_blocks[plane].pop_front();
+                    self.active_blocks[plane] = self.pop_free(plane);
                     let Some(fresh) = self.active_blocks[plane] else {
                         continue;
                     };
@@ -339,9 +348,9 @@ impl Ftl {
                 return Ok(self.ppn_of(block_idx, write_ptr));
             }
             // Every plane is out of erased blocks: reclaim and retry.
-            let free_before = self.free_pool_len();
+            let free_before = self.free_pool;
             self.collect_garbage(outcome)?;
-            if self.free_pool_len() == free_before {
+            if self.free_pool == free_before {
                 return Err(FtlError::OutOfSpace);
             }
         }
@@ -389,6 +398,7 @@ impl Ftl {
         self.stats.erases += 1;
         let plane = victim / self.geometry.blocks_per_plane as usize;
         self.free_blocks[plane].push_back(victim);
+        self.free_pool += 1;
         outcome.erased_blocks.push(victim);
         Ok(())
     }
@@ -511,6 +521,56 @@ mod tests {
         let s = FtlStats::default();
         assert_eq!(s.write_amplification(), 0.0);
         assert_eq!(s.erases, 0);
+    }
+
+    /// Replays a seeded write/trim stream over most of the exported space,
+    /// checking after every operation that the cached free-pool count
+    /// matches the per-plane pools, and returns the physical page each
+    /// write landed on.
+    fn churn(ftl: &mut Ftl, ops: usize) -> Vec<u64> {
+        let span = ftl.exported_pages() * 3 / 4;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut ppns = Vec::new();
+        for op in 0..ops {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let lpn = (state >> 33) % span;
+            if (state >> 29).is_multiple_of(8) {
+                ftl.trim(lpn);
+            } else {
+                let out = ftl
+                    .write(lpn)
+                    .unwrap_or_else(|e| panic!("op {op} lpn {lpn}: {e}"));
+                ppns.push(out.ppn);
+            }
+            let per_plane: usize = ftl.free_blocks.iter().map(VecDeque::len).sum();
+            assert_eq!(
+                ftl.free_pool, per_plane,
+                "cached free count drifted at op {op}"
+            );
+            let active = ftl.active_blocks.iter().filter(|b| b.is_some()).count();
+            assert_eq!(ftl.free_block_count(), per_plane + active);
+        }
+        ppns
+    }
+
+    #[test]
+    fn cached_free_count_tracks_the_pools_through_gc_and_replays_identically() {
+        let mut ftl = tiny_ftl();
+        let ppns = churn(&mut ftl, 4_000);
+        assert!(
+            ftl.stats().gc_runs > 50,
+            "the stream must drive GC many times, ran {}",
+            ftl.stats().gc_runs
+        );
+        let mut replay = tiny_ftl();
+        assert_eq!(
+            churn(&mut replay, 4_000),
+            ppns,
+            "GC and plane striping must replay"
+        );
+        assert_eq!(replay.stats(), ftl.stats());
     }
 
     #[test]

@@ -26,10 +26,13 @@ impl From<u64> for PrpEntry {
     }
 }
 
-/// Entries stored inline before the list spills to the heap. Four covers the
-/// scaled MoS page sizes (8 KB pages → two 4 KB regions) and every striped
-/// fill segment, so the serving hot path never allocates for a PRP list.
-const PRP_INLINE: usize = 4;
+/// Entries stored inline before the list spills to the heap. Nine covers the
+/// largest MoS page any registry platform uses (32 KB, eight 4 KB regions)
+/// at any alignment: a persist-mode eviction's PRP-pool clone slot is not
+/// 4 KB-aligned, so its 32 KB list straddles a ninth region. Every fill,
+/// eviction and striped segment the registry platforms issue therefore
+/// stays inline, and cloning a command never touches the heap.
+const PRP_INLINE: usize = 9;
 
 /// The list of PRP entries attached to a command.
 ///
@@ -37,12 +40,12 @@ const PRP_INLINE: usize = 4;
 /// use a list of page-aligned pointers, exactly as the specification (and the
 /// paper's Fig. 4b discussion) describes.
 ///
-/// Lists of up to four entries are stored inline in the command itself —
-/// commands are moved through the submission ring, cloned into the
-/// outstanding set and journalled by the NVMe engine several times per
-/// simulated miss, and with the inline representation none of that touches
-/// the heap. Longer lists (multi-LBA pages on a single queue pair) spill to a
-/// `Vec`.
+/// Lists of up to nine entries — a 32 KB transfer at any alignment — are
+/// stored inline in the command itself. Commands are moved through the
+/// submission ring, cloned into the outstanding set and journalled by the
+/// NVMe engine several times per simulated miss, and with the inline
+/// representation none of that touches the heap. Longer lists (MoS pages
+/// above 32 KB, such as the paper's unscaled 128 KB page) spill to a `Vec`.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PrpList {
     /// Number of valid entries, wherever they are stored.
@@ -273,15 +276,75 @@ mod tests {
 
     #[test]
     fn from_vec_chooses_the_representation_by_length() {
-        // ≤ 4 entries stay inline (no heap), > 4 spill; both expose the same
+        // ≤ 9 entries stay inline (no heap), > 9 spill; both expose the same
         // slice and compare equal to an identically-built list.
         let short = PrpList::from_vec(vec![PrpEntry(1), PrpEntry(2)]);
         assert_eq!(short.as_slice(), &[PrpEntry(1), PrpEntry(2)]);
         assert_eq!(short, [PrpEntry(1), PrpEntry(2)].into_iter().collect());
-        let long_vec: Vec<PrpEntry> = (0..9).map(PrpEntry).collect();
+        assert!(short.spill.is_empty());
+        let long_vec: Vec<PrpEntry> = (0..10).map(PrpEntry).collect();
         let long = PrpList::from_vec(long_vec.clone());
+        assert_eq!(long.spill.len(), 10);
         assert_eq!(long.as_slice(), long_vec.as_slice());
         assert_eq!(long, long_vec.into_iter().collect());
+    }
+
+    #[test]
+    fn unaligned_32k_transfer_fits_inline() {
+        // A 32 KB page starting mid-region straddles nine 4 KB regions — the
+        // persist-mode eviction's PRP-pool clone — and stays inline.
+        let l = PrpList::for_transfer(0x1_0200, 32 * 1024, 4096);
+        assert_eq!(l.len(), 9);
+        assert!(l.spill.is_empty(), "a nine-entry list must not spill");
+        let addrs: Vec<u64> = l.iter().map(|e| e.address()).collect();
+        let expected: Vec<u64> = (0..9).map(|i| 0x1_0000 + i * 4096).collect();
+        assert_eq!(addrs, expected);
+    }
+
+    #[test]
+    fn inline_and_spilled_forms_agree_with_a_plain_address_vector() {
+        // eq, hash, iter and retarget behave as if every list were a plain
+        // `Vec<PrpEntry>`, on both sides of the inline capacity.
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        fn hash<T: Hash + ?Sized>(value: &T) -> u64 {
+            let mut h = DefaultHasher::new();
+            value.hash(&mut h);
+            h.finish()
+        }
+        for (count, spills) in [
+            (1u64, false),
+            (8, false),
+            (9, false),
+            (10, true),
+            (16, true),
+        ] {
+            let list = PrpList::for_transfer(0x3200, (count - 1) * 4096 + 1, 4096);
+            assert_eq!(list.len() as u64, count);
+            assert_eq!(!list.spill.is_empty(), spills, "{count} entries");
+            let model: Vec<PrpEntry> = (0..count).map(|i| PrpEntry(0x3000 + i * 4096)).collect();
+            assert!(list.iter().eq(model.iter()));
+            assert_eq!(hash(&list), hash(model.as_slice()));
+            let collected: PrpList = model.iter().copied().collect();
+            assert_eq!(list, collected);
+            assert_eq!(hash(&list), hash(&collected));
+
+            let mut moved = list.clone();
+            moved.retarget(0x9_0000);
+            let shifted: Vec<PrpEntry> = model
+                .iter()
+                .map(|e| PrpEntry(e.0 - 0x3000 + 0x9_0000))
+                .collect();
+            assert!(moved.iter().eq(shifted.iter()));
+            assert_eq!(hash(&moved), hash(shifted.as_slice()));
+            assert_ne!(moved, list);
+        }
+        // Lists of different lengths never compare equal across the
+        // boundary, even when one is a prefix of the other.
+        let nine = PrpList::for_transfer(0, 9 * 4096, 4096);
+        let ten = PrpList::for_transfer(0, 10 * 4096, 4096);
+        assert!(ten.iter().take(9).eq(nine.iter()));
+        assert_ne!(nine, ten);
     }
 
     #[test]

@@ -138,27 +138,36 @@ where
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, R)>();
     let out: Vec<Option<R>> = std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n || tx.send((i, f(&items[i]))).is_err() {
-                    break;
-                }
-            });
-        }
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let tx = tx.clone();
+                let next = &next;
+                let f = &f;
+                scope.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n || tx.send((i, f(&items[i]))).is_err() {
+                        break;
+                    }
+                })
+            })
+            .collect();
         drop(tx);
         let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
         for (i, r) in rx {
             out[i] = Some(r);
         }
+        // Join explicitly so a worker's panic resurfaces with its own
+        // payload; the scope's implicit join would replace it with a generic
+        // "a scoped thread panicked".
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
         out
     });
-    // A hole is only possible when a worker panicked mid-item; the scope has
-    // already re-raised that panic (with the worker's own message) before
-    // this point, so the expect never fires.
+    // A hole is only possible when a worker panicked mid-item, and that
+    // panic has already been re-raised above, so the expect never fires.
     out.into_iter()
         .map(|slot| slot.expect("worker delivered every index"))
         .collect()
