@@ -6,9 +6,7 @@
 //! then DMAs from the clone, so the cache slot can be reused immediately and
 //! no eviction hazard or redundant eviction can occur.
 
-use std::collections::HashMap;
-
-use hams_sim::Nanos;
+use hams_sim::{FastHashMap, Nanos};
 use serde::{Deserialize, Serialize};
 
 /// A clone currently occupying a PRP-pool slot.
@@ -37,7 +35,7 @@ pub struct CloneSlot {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PrpPool {
     slots: Vec<Option<CloneSlot>>,
-    by_page: HashMap<u64, usize>,
+    by_page: FastHashMap<u64, usize>,
     high_water: usize,
 }
 
@@ -52,7 +50,7 @@ impl PrpPool {
         assert!(slots > 0, "PRP pool needs at least one slot");
         PrpPool {
             slots: vec![None; slots],
-            by_page: HashMap::new(),
+            by_page: FastHashMap::default(),
             high_water: 0,
         }
     }

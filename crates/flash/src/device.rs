@@ -309,6 +309,12 @@ impl SsdDevice {
         self.dram.stats()
     }
 
+    /// The internal DRAM buffer.
+    #[must_use]
+    pub fn dram(&self) -> &InternalDram {
+        &self.dram
+    }
+
     /// Whether the internal DRAM buffer is present.
     #[must_use]
     pub fn has_internal_dram(&self) -> bool {

@@ -6,11 +6,9 @@
 //! NVDIMM — which both saves energy (the DRAM draws 17 % more power than a
 //! 32-chip flash complex) and removes a redundant copy. The model therefore
 //! exposes the buffer as an optional component with explicit hit/miss/dirty
-//! accounting and an LRU policy.
+//! accounting and an O(1) LRU policy.
 
-use std::collections::BTreeMap;
-
-use hams_sim::{FastHashMap, Nanos};
+use hams_sim::{Evicted, LruList, Nanos};
 use serde::{Deserialize, Serialize};
 
 /// Outcome of offering an access to the internal DRAM.
@@ -55,7 +53,8 @@ impl DramStats {
     }
 }
 
-/// An LRU page cache standing in for the SSD-internal DRAM.
+/// An LRU page cache standing in for the SSD-internal DRAM, built on
+/// [`LruList`].
 ///
 /// # Example
 ///
@@ -70,15 +69,8 @@ impl DramStats {
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct InternalDram {
-    capacity_pages: usize,
     access_latency: Nanos,
-    /// lpn -> (last-use tick, dirty)
-    resident: FastHashMap<u64, (u64, bool)>,
-    /// last-use tick -> lpn (ticks are unique), so the LRU victim is the
-    /// first entry — O(log n) instead of a full scan of `resident` per
-    /// eviction, which dominated the device-service hot path.
-    order: BTreeMap<u64, u64>,
-    tick: u64,
+    resident: LruList,
     stats: DramStats,
 }
 
@@ -88,11 +80,8 @@ impl InternalDram {
     #[must_use]
     pub fn new(capacity_pages: usize, access_latency: Nanos) -> Self {
         InternalDram {
-            capacity_pages,
             access_latency,
-            resident: FastHashMap::default(),
-            order: BTreeMap::new(),
-            tick: 0,
+            resident: LruList::new(capacity_pages),
             stats: DramStats::default(),
         }
     }
@@ -100,7 +89,7 @@ impl InternalDram {
     /// Capacity in pages.
     #[must_use]
     pub fn capacity_pages(&self) -> usize {
-        self.capacity_pages
+        self.resident.capacity()
     }
 
     /// Latency of one buffer access.
@@ -124,17 +113,13 @@ impl InternalDram {
     /// Number of resident dirty pages.
     #[must_use]
     pub fn dirty_pages(&self) -> usize {
-        self.resident.values().filter(|(_, d)| *d).count()
+        self.resident.iter().filter(|&(_, dirty)| dirty).count()
     }
 
     /// Offers a read of `lpn`; hits refresh recency.
     pub fn read(&mut self, lpn: u64) -> DramOutcome {
-        self.tick += 1;
         self.stats.accesses += 1;
-        if let Some(entry) = self.resident.get_mut(&lpn) {
-            self.order
-                .remove(&std::mem::replace(&mut entry.0, self.tick));
-            self.order.insert(self.tick, lpn);
+        if self.resident.touch(lpn, false) {
             self.stats.hits += 1;
             DramOutcome::Hit
         } else {
@@ -146,73 +131,37 @@ impl InternalDram {
     /// Offers a write of `lpn`: a hit dirties the resident copy, a miss
     /// installs the page dirty (write-back policy), possibly evicting.
     pub fn write(&mut self, lpn: u64) -> DramOutcome {
-        self.tick += 1;
         self.stats.accesses += 1;
-        if let Some(entry) = self.resident.get_mut(&lpn) {
-            self.order
-                .remove(&std::mem::replace(&mut entry.0, self.tick));
-            self.order.insert(self.tick, lpn);
-            entry.1 = true;
+        if self.resident.touch(lpn, true) {
             self.stats.hits += 1;
             return DramOutcome::Hit;
         }
         self.stats.misses += 1;
-        let evicted = self.install_inner(lpn, true);
-        match evicted {
+        match self.install(lpn, true) {
             Some(lpn) => DramOutcome::MissEvictDirty { evicted_lpn: lpn },
             None => DramOutcome::Miss,
         }
     }
 
-    /// Installs a clean copy of `lpn` (e.g. after a read miss fill). Returns
-    /// the LPN of a dirty page evicted to make room, if any.
+    /// Installs a copy of `lpn` (e.g. after a read miss fill). Returns the
+    /// LPN of a dirty page evicted to make room, if any. Re-installing a
+    /// resident page only refreshes its recency: nothing is evicted and a
+    /// dirty page stays dirty.
     pub fn install(&mut self, lpn: u64, dirty: bool) -> Option<u64> {
-        self.tick += 1;
-        self.install_inner(lpn, dirty)
-    }
-
-    fn install_inner(&mut self, lpn: u64, dirty: bool) -> Option<u64> {
-        if self.capacity_pages == 0 {
-            // Degenerate buffer: nothing is ever resident.
-            return None;
-        }
-        let mut evicted_dirty = None;
-        if self.resident.len() >= self.capacity_pages {
-            // Evict the least recently used page: the minimum-tick entry,
-            // exactly the victim the old full scan of `resident` chose.
-            if let Some((&lru_tick, &victim)) = self.order.iter().next() {
-                self.order.remove(&lru_tick);
-                if let Some((_, was_dirty)) = self.resident.remove(&victim) {
-                    if was_dirty {
-                        self.stats.dirty_evictions += 1;
-                        evicted_dirty = Some(victim);
-                    }
-                }
+        match self.resident.insert(lpn, dirty)? {
+            Evicted { key, dirty: true } => {
+                self.stats.dirty_evictions += 1;
+                Some(key)
             }
+            Evicted { dirty: false, .. } => None,
         }
-        if let Some(previous) = self.resident.insert(lpn, (self.tick, dirty)) {
-            // Re-install of a resident page: drop its stale recency entry.
-            self.order.remove(&previous.0);
-        }
-        self.order.insert(self.tick, lpn);
-        evicted_dirty
     }
 
     /// Drains every dirty page (a flush or pre-shutdown write-back), returning
     /// their LPNs and marking them clean.
     pub fn flush_dirty(&mut self) -> Vec<u64> {
-        let mut dirty: Vec<u64> = self
-            .resident
-            .iter()
-            .filter(|(_, (_, d))| *d)
-            .map(|(&lpn, _)| lpn)
-            .collect();
-        dirty.sort_unstable();
-        for lpn in &dirty {
-            if let Some(e) = self.resident.get_mut(lpn) {
-                e.1 = false;
-            }
-        }
+        let dirty = self.resident.dirty_keys();
+        self.resident.clean_all();
         dirty
     }
 
@@ -221,7 +170,6 @@ impl InternalDram {
     pub fn discard_all(&mut self) -> usize {
         let n = self.resident.len();
         self.resident.clear();
-        self.order.clear();
         n
     }
 }
@@ -292,6 +240,20 @@ mod tests {
         assert_eq!(d.discard_all(), 2);
         assert_eq!(d.resident_pages(), 0);
         assert_eq!(d.read(1), DramOutcome::Miss);
+    }
+
+    #[test]
+    fn reinstalling_a_resident_page_evicts_nothing_and_keeps_it_dirty() {
+        let mut d = dram(2);
+        d.write(1);
+        d.write(2);
+        assert_eq!(d.install(2, false), None);
+        assert_eq!(d.resident_pages(), 2);
+        assert_eq!(d.dirty_pages(), 2);
+        assert_eq!(d.stats().dirty_evictions, 0);
+        // The re-install refreshed page 2, so page 1 is the next victim.
+        assert_eq!(d.install(3, false), Some(1));
+        assert_eq!(d.flush_dirty(), vec![2]);
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! An O(log n) LRU page cache used by the software-managed platforms
+//! An O(1) LRU page cache used by the software-managed platforms
 //! (the OS page cache of `mmap`, the host-side caches of `flatflash-M`,
 //! `optane-M` and `nvdimm-C`).
 
-use std::collections::{BTreeMap, HashMap};
-
+use hams_sim::{Evicted, LruList};
 use serde::{Deserialize, Serialize};
 
 /// Result of offering an access to the cache.
@@ -57,7 +56,7 @@ impl CacheStats {
     }
 }
 
-/// A true-LRU page cache with O(log n) operations.
+/// A true-LRU page cache with O(1) operations, built on [`LruList`].
 ///
 /// # Example
 ///
@@ -74,12 +73,7 @@ impl CacheStats {
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LruPageCache {
-    capacity: usize,
-    // page -> (tick, dirty)
-    resident: HashMap<u64, (u64, bool)>,
-    // tick -> page (ticks are unique)
-    order: BTreeMap<u64, u64>,
-    tick: u64,
+    resident: LruList,
     stats: CacheStats,
 }
 
@@ -88,10 +82,7 @@ impl LruPageCache {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         LruPageCache {
-            capacity,
-            resident: HashMap::new(),
-            order: BTreeMap::new(),
-            tick: 0,
+            resident: LruList::new(capacity),
             stats: CacheStats::default(),
         }
     }
@@ -99,7 +90,7 @@ impl LruPageCache {
     /// Capacity in pages.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.resident.capacity()
     }
 
     /// Number of resident pages.
@@ -123,61 +114,36 @@ impl LruPageCache {
     /// Returns `true` if `page` is resident (without touching recency).
     #[must_use]
     pub fn contains(&self, page: u64) -> bool {
-        self.resident.contains_key(&page)
+        self.resident.contains(page)
     }
 
     /// Offers an access to `page`; installs it on a miss, evicting the LRU
     /// page if the cache is full. `is_write` dirties the page.
     pub fn access(&mut self, page: u64, is_write: bool) -> CacheOutcome {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((old_tick, dirty)) = self.resident.get_mut(&page) {
-            self.order.remove(&std::mem::replace(old_tick, tick));
-            self.order.insert(tick, page);
-            *dirty = *dirty || is_write;
+        if self.resident.touch(page, is_write) {
             self.stats.hits += 1;
             return CacheOutcome::Hit;
         }
         self.stats.misses += 1;
-        if self.capacity == 0 {
-            return CacheOutcome::MissInstalled;
-        }
-        let mut outcome = CacheOutcome::MissInstalled;
-        if self.resident.len() >= self.capacity {
-            if let Some((&lru_tick, &victim)) = self.order.iter().next() {
-                self.order.remove(&lru_tick);
-                let (_, was_dirty) = self.resident.remove(&victim).unwrap_or((0, false));
-                outcome = if was_dirty {
-                    self.stats.dirty_evictions += 1;
-                    CacheOutcome::MissEvictDirty { victim }
-                } else {
-                    CacheOutcome::MissEvictClean { victim }
-                };
+        match self.resident.insert(page, is_write) {
+            None => CacheOutcome::MissInstalled,
+            Some(Evicted { key, dirty: true }) => {
+                self.stats.dirty_evictions += 1;
+                CacheOutcome::MissEvictDirty { victim: key }
             }
+            Some(Evicted { key, dirty: false }) => CacheOutcome::MissEvictClean { victim: key },
         }
-        self.resident.insert(page, (tick, is_write));
-        self.order.insert(tick, page);
-        outcome
     }
 
     /// Dirty pages currently resident, in ascending page order.
     #[must_use]
     pub fn dirty_pages(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .resident
-            .iter()
-            .filter(|(_, (_, d))| *d)
-            .map(|(&p, _)| p)
-            .collect();
-        v.sort_unstable();
-        v
+        self.resident.dirty_keys()
     }
 
     /// Marks every resident page clean (e.g. after an `msync`-style flush).
     pub fn clean_all(&mut self) {
-        for (_, d) in self.resident.values_mut() {
-            *d = false;
-        }
+        self.resident.clean_all();
     }
 }
 

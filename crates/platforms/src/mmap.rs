@@ -78,6 +78,12 @@ impl MmapPlatform {
         self.page_cache.stats().hit_rate()
     }
 
+    /// The OS page cache.
+    #[must_use]
+    pub fn page_cache(&self) -> &LruPageCache {
+        &self.page_cache
+    }
+
     /// Read access to the underlying SSD model.
     #[must_use]
     pub fn ssd(&self) -> &SsdDevice {

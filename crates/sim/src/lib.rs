@@ -11,6 +11,7 @@
 //! * [`EventQueue`] — an ordered future-event list for out-of-order completion,
 //! * [`Resource`] / [`MultiResource`] — FCFS busy-until schedulers that model
 //!   contention on buses, channels and dies,
+//! * [`LruList`] — the O(1) recency list behind every LRU page cache,
 //! * [`stats`] — counters, running statistics, histograms and named latency
 //!   breakdowns used to produce every figure in the paper,
 //! * [`rng`] — seeded RNG construction so every experiment is reproducible.
@@ -37,6 +38,7 @@
 pub mod event;
 pub mod hash;
 pub mod intern;
+pub mod lru;
 pub mod par;
 pub mod resource;
 pub mod rng;
@@ -46,6 +48,7 @@ pub mod time;
 pub use event::{CompletionSource, EventQueue, ScheduledEvent};
 pub use hash::{FastBuildHasher, FastHashMap, FastHashSet};
 pub use intern::ComponentId;
+pub use lru::{Evicted, LruList};
 pub use par::{cell_workers, parallel_map, scoped_partition_map};
 pub use resource::{Grant, MultiResource, Resource};
 pub use stats::{

@@ -104,24 +104,14 @@ impl MetricSeries {
     }
 
     fn record(&mut self, bucket_start: Nanos, value: f64) {
-        // Samples arrive in (near) simulated-time order; walk back from the
-        // end for the rare out-of-order sample rather than keeping an index.
-        match self
-            .buckets
-            .iter_mut()
-            .rev()
-            .find(|b| b.start <= bucket_start)
-        {
+        // Buckets stay sorted by start, so a binary search places any sample,
+        // in order or not, in O(log n).
+        let pos = self.buckets.partition_point(|b| b.start < bucket_start);
+        match self.buckets.get_mut(pos) {
             Some(b) if b.start == bucket_start => b.push(value),
-            _ => {
-                let pos = self
-                    .buckets
-                    .iter()
-                    .position(|b| b.start > bucket_start)
-                    .unwrap_or(self.buckets.len());
-                self.buckets
-                    .insert(pos, SeriesBucket::new(bucket_start, value));
-            }
+            _ => self
+                .buckets
+                .insert(pos, SeriesBucket::new(bucket_start, value)),
         }
     }
 }
@@ -352,6 +342,32 @@ mod tests {
             .map(|b| b.start.as_nanos())
             .collect();
         assert_eq!(starts, vec![0, 20_000]);
+    }
+
+    #[test]
+    fn scrambled_samples_land_in_sorted_buckets_with_in_order_sums() {
+        // 200 integer samples over 40 buckets, fed in time order and in a
+        // fixed scrambled order (77 is coprime to 200, so every index is hit).
+        let samples: Vec<(u64, f64)> = (0..200u64).map(|i| (i * 2, i as f64)).collect();
+        let mut in_order = MetricsRegistry::new(us(10));
+        let mut scrambled = MetricsRegistry::new(us(10));
+        for &(t, v) in &samples {
+            in_order.gauge("g", us(t), v);
+        }
+        for i in 0..samples.len() {
+            let (t, v) = samples[i * 77 % samples.len()];
+            scrambled.gauge("g", us(t), v);
+        }
+        let a = in_order.get("g").unwrap().buckets();
+        let b = scrambled.get("g").unwrap().buckets();
+        assert_eq!(b.len(), 40);
+        assert!(b.windows(2).all(|w| w[0].start < w[1].start));
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(
+                (x.start, x.samples, x.sum, x.min, x.max),
+                (y.start, y.samples, y.sum, y.min, y.max)
+            );
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Allocation gate: HAMS serving does O(1) heap allocations per run.
+//! Allocation gate: serving does O(1) heap allocations per run.
 //!
 //! A counting global allocator tallies every allocation this test binary
 //! makes, so the counts are exact and machine-independent. Each scenario is
@@ -8,13 +8,16 @@
 //! long reallocates once more), never a per-access or per-command
 //! allocation, which would add thousands.
 //!
-//! Two scenarios are gated:
+//! Three scenarios are gated:
 //!
 //! * `hams-TP-r5` serving Poisson `rndWr` arrivals through the fig26
 //!   fail-stop → spare → rebuild schedule: the persist-mode parity-archive
 //!   miss path, with degraded reads reconstructed from the survivors and
 //!   rebuild rows programmed onto the spare.
 //! * `hams-TE` serving `rndRd` closed loop: the extend-mode miss path.
+//! * `mmap` serving `rndRd` closed loop: the paper's MMF baseline, whose OS
+//!   page cache and SSD-internal DRAM are both full and evicting within the
+//!   shorter run, so the longer run measures their steady state.
 //!
 //! This binary holds a single test so no other test's allocations land in
 //! the shared counter. The counts are those of the default serial serving
@@ -24,9 +27,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use hams::flash::SsdConfig;
 use hams::platforms::{
-    build_fault_platform, run_workload, run_workload_open_loop, OpenLoopConfig, Platform,
-    PlatformRegistry, ScaleProfile,
+    build_fault_platform, run_workload, run_workload_open_loop, MmapPlatform, OpenLoopConfig,
+    Platform, PlatformRegistry, ScaleProfile,
 };
 use hams::workloads::WorkloadSpec;
 use hams_bench::fig26_fault_schedule;
@@ -80,6 +84,11 @@ const GROWTH_SLACK: u64 = 8;
 /// second: the fig26 operating point of `hams-TP-r5` on `rndWr`, busy
 /// enough that rebuild contends with foreground serving.
 const OFFERED_RATE_PER_SEC: f64 = 14_000.0;
+
+/// Capacity divisor of the `mmap` scenario: small enough that `N` `rndRd`
+/// accesses overflow both its 1024-page OS page cache and its 64-page SSD
+/// DRAM.
+const MMAP_CAPACITY_DIVISOR: u64 = 2048;
 
 fn scale(accesses: usize) -> ScaleProfile {
     ScaleProfile {
@@ -147,14 +156,56 @@ fn extend_run(accesses: usize) -> u64 {
     })
 }
 
+/// Serves `mmap` closed loop on `rndRd` and returns the allocations of the
+/// replay, after checking that both LRU caches filled up and evicted.
+fn mmap_run(accesses: usize) -> u64 {
+    let scale = ScaleProfile {
+        capacity_divisor: MMAP_CAPACITY_DIVISOR,
+        ..scale(accesses)
+    };
+    // The registry's `mmap`, built concretely so its caches can be inspected.
+    let mut ssd = SsdConfig::ull_flash();
+    ssd.dram_capacity_bytes = scale.ssd_dram_bytes();
+    let mut platform = MmapPlatform::new("mmap", ssd, scale.cache_bytes());
+    let count = allocations_of(|| {
+        let metrics = run_workload(&mut platform, spec("rndRd"), &scale);
+        assert_eq!(metrics.accesses, accesses as u64);
+    });
+    let cache = platform.page_cache();
+    assert_eq!(cache.len(), cache.capacity(), "the page cache must fill");
+    assert!(
+        cache.stats().misses > cache.capacity() as u64,
+        "the page cache must evict"
+    );
+    let dram = platform.ssd().dram();
+    assert_eq!(
+        dram.resident_pages(),
+        dram.capacity_pages(),
+        "the SSD DRAM must fill"
+    );
+    assert!(
+        dram.stats().misses > dram.capacity_pages() as u64,
+        "the SSD DRAM must evict"
+    );
+    eprintln!(
+        "mmap rndRd at {accesses}: page cache {} pages, {} misses; SSD DRAM {} pages, {} misses",
+        cache.capacity(),
+        cache.stats().misses,
+        dram.capacity_pages(),
+        dram.stats().misses
+    );
+    count
+}
+
 #[test]
-fn hams_serving_allocations_do_not_grow_with_run_length() {
+fn serving_allocations_do_not_grow_with_run_length() {
     for (scenario, run) in [
         (
             "hams-TP-r5 rndWr through fail/spare/rebuild",
             parity_rebuild_run as fn(usize) -> u64,
         ),
         ("hams-TE rndRd closed loop", extend_run),
+        ("mmap rndRd closed loop", mmap_run),
     ] {
         let short = run(N);
         let long = run(2 * N);
