@@ -32,14 +32,14 @@ use hams_interconnect::{
 };
 use hams_nvdimm::{Nvdimm, PinnedRegion};
 use hams_nvme::NvmeCommand;
-use hams_sim::{scoped_partition_map, ComponentId, LatencyVector, Nanos};
+use hams_sim::{ComponentId, LatencyVector, Nanos};
 use hams_telemetry::{Layer, Span, TelemetrySink, TraceSink};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{AttachMode, HamsConfig, PersistMode};
 use crate::engine::NvmeEngine;
 use crate::prp_pool::PrpPool;
-use crate::tag_array::{BankPlanner, ShardConfig, ShardedTagArray, TagProbe};
+use crate::tag_array::{ShardConfig, ShardedTagArray, TagProbe};
 
 /// The result of one MoS access.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -98,50 +98,6 @@ impl HamsStats {
         } else {
             self.hits as f64 / self.accesses as f64
         }
-    }
-}
-
-/// Reusable scratch for [`HamsController::plan_batch`]: the per-bank routing
-/// tables and the planned classification of every access in a batch, indexed
-/// by original batch position. Owned by the caller so the serving hot path
-/// reuses the buffers batch after batch instead of allocating.
-#[derive(Debug, Default)]
-pub struct CellPlan {
-    /// Per original batch position, the planned classification.
-    planned: Vec<TagProbe>,
-    /// Per bank: `(original index, page, is_write)` in original batch order.
-    bank_inputs: Vec<Vec<(u32, u64, bool)>>,
-    /// Per bank: classifications parallel to `bank_inputs`.
-    bank_outputs: Vec<Vec<TagProbe>>,
-}
-
-impl CellPlan {
-    /// An empty plan; buffers grow on first use and are then reused.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The planned classification of the `k`-th access of the batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range of the last planned batch.
-    #[must_use]
-    pub fn planned(&self, k: usize) -> TagProbe {
-        self.planned[k]
-    }
-
-    /// Number of accesses covered by the last planned batch.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.planned.len()
-    }
-
-    /// Whether no batch has been planned (or the last batch was empty).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.planned.is_empty()
     }
 }
 
@@ -466,7 +422,7 @@ impl HamsController {
         }
 
         if traced {
-            self.trace_access_spans("access", page, hit, now, t, tag_read_at, tag_read, waited);
+            self.trace_access_spans(page, hit, now, t, tag_read_at, tag_read, waited);
         }
 
         (t, hit)
@@ -479,7 +435,6 @@ impl HamsController {
     #[allow(clippy::too_many_arguments)]
     fn trace_access_spans(
         &mut self,
-        name: &'static str,
         page: u64,
         hit: bool,
         started: Nanos,
@@ -490,7 +445,7 @@ impl HamsController {
     ) {
         let shard = self.tags.shard_of_page(page);
         self.trace.record(
-            Span::new(Layer::Controller, name, started, finished)
+            Span::new(Layer::Controller, "access", started, finished)
                 .with_shard(shard)
                 .with_request(page),
         );
@@ -518,167 +473,6 @@ impl HamsController {
     /// per-access merge [`Self::access`] performs.
     pub fn merge_delay(&mut self, breakdown: &LatencyVector) {
         self.stats.delay.merge(breakdown);
-    }
-
-    /// Plan phase of cell-parallel batch serving: classifies every access of
-    /// a batch against the directory, serving each bank's sub-batch on its
-    /// own scoped worker (`workers` as in
-    /// [`hams_sim::scoped_partition_map`]; `0` means the `HAMS_CELL_THREADS`
-    /// default). Classification is a pure function of the access sequence —
-    /// never of simulated time — so banks plan concurrently with no shared
-    /// state; see [`BankPlanner`] for the field discipline. The results land
-    /// in `plan`, indexed by original batch position, for the serial
-    /// [`Self::commit_planned_into`] replay.
-    pub fn plan_batch(&mut self, accesses: &[(u64, bool)], workers: usize, plan: &mut CellPlan) {
-        let banks = usize::from(self.tags.num_shards());
-        plan.bank_inputs.resize_with(banks, Vec::new);
-        plan.bank_outputs.resize_with(banks, Vec::new);
-        for input in &mut plan.bank_inputs {
-            input.clear();
-        }
-        for (i, &(addr, is_write)) in accesses.iter().enumerate() {
-            let page = self.page_of(addr);
-            let bank = usize::from(self.tags.shard_of_page(page));
-            plan.bank_inputs[bank].push((i as u32, page, is_write));
-        }
-
-        struct BankTask<'a> {
-            planner: BankPlanner<'a>,
-            input: &'a [(u32, u64, bool)],
-            output: &'a mut Vec<TagProbe>,
-        }
-        let mut tasks: Vec<BankTask> = self
-            .tags
-            .bank_planners()
-            .into_iter()
-            .zip(plan.bank_inputs.iter().zip(plan.bank_outputs.iter_mut()))
-            .map(|(planner, (input, output))| BankTask {
-                planner,
-                input,
-                output,
-            })
-            .collect();
-        scoped_partition_map(&mut tasks, workers, |_, task| {
-            task.output.clear();
-            for &(_, page, is_write) in task.input {
-                task.output.push(task.planner.plan_access(page, is_write));
-            }
-        });
-
-        // Scatter the per-bank results back to original batch order.
-        plan.planned.clear();
-        plan.planned.resize(accesses.len(), TagProbe::Hit);
-        for (input, output) in plan.bank_inputs.iter().zip(plan.bank_outputs.iter()) {
-            for (&(i, _, _), &probe) in input.iter().zip(output.iter()) {
-                plan.planned[i as usize] = probe;
-            }
-        }
-    }
-
-    /// Commit phase of cell-parallel batch serving: replays the timing of
-    /// one access whose classification `planned` was produced by
-    /// [`Self::plan_batch`]. Must be called for every access of the batch in
-    /// original batch order. Byte-identical to [`Self::access_into`]: the
-    /// probe, tag install and dirty marking already happened at plan time,
-    /// and every timing decision — retires, the wait queue, fills,
-    /// evictions, the persist gate — runs here, serially, exactly as the
-    /// serial path runs it. Returns `(finished_at, hit)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` lies beyond the MoS capacity.
-    pub fn commit_planned_into(
-        &mut self,
-        addr: u64,
-        is_write: bool,
-        size: u64,
-        planned: TagProbe,
-        now: Nanos,
-        breakdown: &mut LatencyVector,
-    ) -> (Nanos, bool) {
-        assert!(
-            addr < self.mos_capacity_bytes(),
-            "MoS address {addr:#x} beyond capacity"
-        );
-        let page = self.page_of(addr);
-        let traced = self.trace.is_enabled();
-        let mut t = now + self.config.controller_overhead;
-        breakdown.add(ComponentId::HAMS, self.config.controller_overhead);
-
-        self.engine.retire_due_into(t, &mut self.retire_scratch);
-
-        let tag_read = Nanos::from_nanos(15);
-        breakdown.add(ComponentId::NVDIMM, tag_read);
-        let tag_read_at = t;
-        t += tag_read;
-
-        let mut waited: Option<(Nanos, Nanos)> = None;
-        if let Some(free_at) = self.tags.busy_until(page, t) {
-            self.stats.wait_stalls += 1;
-            breakdown.add(ComponentId::HAMS, free_at - t);
-            if traced {
-                waited = Some((t, free_at));
-            }
-            t = free_at;
-            self.engine.retire_due_into(t, &mut self.retire_scratch);
-        }
-
-        self.stats.accesses += 1;
-        let hit = matches!(planned, TagProbe::Hit);
-        if hit {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-        }
-
-        match planned {
-            TagProbe::Hit => {}
-            TagProbe::MissEmpty => {
-                t = self.commit_fill(page, is_write, t, breakdown);
-            }
-            TagProbe::MissClean { .. } => {
-                self.stats.clean_replacements += 1;
-                t = self.commit_fill(page, is_write, t, breakdown);
-            }
-            TagProbe::MissDirty { victim_page } => {
-                let (slot_free_at, eviction_done) = self.evict(victim_page, t, breakdown);
-                let fill_start = match self.config.persist {
-                    PersistMode::Persist => eviction_done,
-                    PersistMode::Extend => slot_free_at,
-                };
-                t = self.commit_fill(page, is_write, fill_start, breakdown);
-            }
-        }
-
-        let ddr_t = self.ddr.transfer(size, t);
-        let array = if is_write {
-            self.nvdimm.write(size)
-        } else {
-            self.nvdimm.read(size)
-        };
-        breakdown.add(ComponentId::NVDIMM, ddr_t.latency() + array);
-        t = ddr_t.finished_at + array;
-
-        // The dirty marking already happened at plan time.
-        if traced {
-            self.trace_access_spans("commit", page, hit, now, t, tag_read_at, tag_read, waited);
-        }
-
-        (t, hit)
-    }
-
-    /// The commit-phase fill: timing via [`Self::fill_inner`], then the busy
-    /// hand-off alone — the tag install happened at plan time.
-    fn commit_fill(
-        &mut self,
-        page: u64,
-        is_write: bool,
-        now: Nanos,
-        breakdown: &mut LatencyVector,
-    ) -> Nanos {
-        let data_ready = self.fill_inner(page, is_write, now, breakdown);
-        self.tags.force_busy(page, data_ready);
-        data_ready
     }
 
     /// Reconfigures the NVMe submission path (queue count, ring depth, MSI
@@ -1028,25 +822,6 @@ impl HamsController {
         now: Nanos,
         breakdown: &mut LatencyVector,
     ) -> Nanos {
-        let data_ready = self.fill_inner(page, is_write, now, breakdown);
-        self.tags.fill(page);
-        self.tags.set_busy(page, data_ready);
-        data_ready
-    }
-
-    /// Everything a fill does *except* the directory update: command
-    /// submission, archive service, the page transfer into NVDIMM and the
-    /// persist gate. The serial [`Self::fill`] follows this with the tag
-    /// install plus a fresh busy window; the cell-parallel commit phase
-    /// follows it with [`ShardedTagArray::force_busy`] alone, because the
-    /// tag/valid/dirty transition already happened at plan time.
-    fn fill_inner(
-        &mut self,
-        page: u64,
-        is_write: bool,
-        now: Nanos,
-        breakdown: &mut LatencyVector,
-    ) -> Nanos {
         let page_bytes = self.config.mos_page_size;
         let start = match self.config.persist {
             PersistMode::Persist => now.max(self.persist_gate),
@@ -1207,6 +982,8 @@ impl HamsController {
         if matches!(self.config.persist, PersistMode::Persist) {
             self.persist_gate = self.persist_gate.max(data_ready);
         }
+        self.tags.fill(page);
+        self.tags.set_busy(page, data_ready);
         data_ready
     }
 

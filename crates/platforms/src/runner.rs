@@ -510,39 +510,6 @@ pub fn run_workload_sharded(
     run_workload(platform, spec, scale)
 }
 
-/// The sharded serial reference: a single-threaded per-access loop over a
-/// platform repartitioned into `shards` banks. Exists for symmetry with
-/// [`run_workload_serial_mq`]; by the shard-invariance contract it must
-/// match the unsharded [`run_workload_serial`] byte for byte.
-pub fn run_workload_serial_sharded(
-    platform: &mut dyn Platform,
-    spec: WorkloadSpec,
-    scale: &ScaleProfile,
-    shards: hams_core::ShardConfig,
-) -> RunMetrics {
-    platform.configure_shards(shards);
-    run_workload_serial(platform, spec, scale)
-}
-
-/// [`run_workload`] with the platform opted into cell-parallel batch serving
-/// on `cell_threads` scoped workers (`0` = the `HAMS_CELL_THREADS`
-/// environment default) before any access is served. The pinned contract is
-/// the strict one: the worker count is pure host-side parallelism — each
-/// batch is classified bank-by-bank concurrently and its timing replayed
-/// serially — so this must be byte-identical to [`run_workload`] *and*
-/// [`run_workload_serial`] with no cell configuration at all, for every
-/// platform and any worker count (`tests/cell_parallel_equivalence.rs`).
-/// Platforms without a banked tag directory ignore the configuration.
-pub fn run_workload_cell_parallel(
-    platform: &mut dyn Platform,
-    spec: WorkloadSpec,
-    scale: &ScaleProfile,
-    cell_threads: usize,
-) -> RunMetrics {
-    platform.configure_cell_threads(cell_threads);
-    run_workload(platform, spec, scale)
-}
-
 /// [`run_workload`] with the platform's archive backend re-shaped into
 /// `topology` before any access is served. The pinned contract sits between
 /// the multi-queue and shard ones: [`hams_core::BackendTopology::single`]
@@ -550,7 +517,8 @@ pub fn run_workload_cell_parallel(
 /// [`run_workload_serial`] with no backend configuration at all, for every
 /// platform (`tests/backend_equivalence.rs`) — while multi-device shapes
 /// legitimately change timing and are pinned against their own serial
-/// reference ([`run_workload_serial_backend`]). Platforms without an
+/// reference ([`run_workload_serial`] on a platform given the same
+/// topology). Platforms without an
 /// in-controller archive ignore the configuration.
 pub fn run_workload_backend(
     platform: &mut dyn Platform,
@@ -560,20 +528,6 @@ pub fn run_workload_backend(
 ) -> RunMetrics {
     platform.configure_backend(topology);
     run_workload(platform, spec, scale)
-}
-
-/// The backend serial reference: a single-threaded per-access loop over a
-/// platform re-shaped into `topology`. Exists for symmetry with
-/// [`run_workload_serial_mq`]; [`run_workload_backend`] must match it byte
-/// for byte at every batch size and thread count.
-pub fn run_workload_serial_backend(
-    platform: &mut dyn Platform,
-    spec: WorkloadSpec,
-    scale: &ScaleProfile,
-    topology: hams_core::BackendTopology,
-) -> RunMetrics {
-    platform.configure_backend(topology);
-    run_workload_serial(platform, spec, scale)
 }
 
 /// The per-access reference path: one [`Platform::access`] call per trace

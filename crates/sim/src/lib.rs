@@ -49,7 +49,7 @@ pub use event::{CompletionSource, EventQueue, ScheduledEvent};
 pub use hash::{FastBuildHasher, FastHashMap, FastHashSet};
 pub use intern::ComponentId;
 pub use lru::{Evicted, LruList};
-pub use par::{cell_workers, parallel_map, scoped_partition_map};
+pub use par::parallel_map;
 pub use resource::{Grant, MultiResource, Resource};
 pub use stats::{
     Counter, Histogram, HistogramSummary, LatencyBreakdown, LatencyVector, RunningStats,

@@ -29,92 +29,32 @@ use std::sync::mpsc;
 
 /// Upper bound on worker threads, honouring the `HAMS_THREADS` environment
 /// variable (0 or unset = one worker per available core).
+///
+/// # Panics
+///
+/// Panics if `HAMS_THREADS` is set but not a non-negative integer. A silent
+/// fallback to one worker per core would let a CI leg that asked for one
+/// grid worker report green on the default worker count instead, the same
+/// reason `HAMS_SHARDS` and `HAMS_DEVICES` refuse malformed values.
 #[must_use]
 pub fn max_workers() -> usize {
-    let from_env = std::env::var("HAMS_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(0);
-    if from_env > 0 {
-        return from_env;
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Number of worker threads one simulation cell may use for intra-cell
-/// (per-bank) work, honouring the `HAMS_CELL_THREADS` environment variable.
-///
-/// Unset or `0` means **1**: intra-cell parallelism is opt-in, unlike the
-/// cross-cell grid where every core is fair game by default. A grid of
-/// cells already saturates the machine through [`parallel_map`]; cell
-/// threads multiply on top of grid threads, so the conservative default
-/// keeps `grid × cell` from oversubscribing unless the user asks for it.
-#[must_use]
-pub fn cell_workers() -> usize {
-    std::env::var("HAMS_CELL_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}
-
-/// Runs `f` once per partition on a pool of scoped threads, giving each
-/// invocation exclusive mutable access to its partition, and returns the
-/// per-partition results in partition order.
-///
-/// This is the intra-cell sibling of [`parallel_map`]: where `parallel_map`
-/// spreads independent *cells* (whole simulations) across the machine, this
-/// spreads the independent *banks inside one cell* (disjoint `&mut`
-/// partitions of its state) across at most `workers` threads — `0` resolves
-/// to the [`cell_workers`] / `HAMS_CELL_THREADS` default. With one effective
-/// worker the map runs inline on the caller's thread, spawning nothing.
-///
-/// Partitions are assigned to workers in contiguous runs (no work stealing):
-/// results are deterministic for any pure-per-partition `f` regardless of
-/// scheduling, and panics in `f` propagate to the caller with their own
-/// payload.
-pub fn scoped_partition_map<T, R, F>(parts: &mut [T], workers: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let n = parts.len();
-    let workers = if workers == 0 {
-        cell_workers()
-    } else {
-        workers
-    }
-    .min(n);
-    if workers <= 1 {
-        return parts.iter_mut().enumerate().map(|(i, p)| f(i, p)).collect();
-    }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = parts
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(ci, run)| {
-                let f = &f;
-                scope.spawn(move || {
-                    run.iter_mut()
-                        .enumerate()
-                        .map(|(j, p)| f(ci * chunk + j, p))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(n);
-        for handle in handles {
-            match handle.join() {
-                Ok(results) => out.extend(results),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
+    let raw = std::env::var("HAMS_THREADS").ok();
+    parse_thread_count(raw.as_deref()).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
     })
+}
+
+/// Parses a raw `HAMS_THREADS` value: `Some(n)` for an explicit positive
+/// worker count, `None` for unset or `0` (one worker per core). Panics on
+/// anything else (`abc`, `-1`, an empty string).
+fn parse_thread_count(raw: Option<&str>) -> Option<usize> {
+    let raw = raw?;
+    let count = raw.trim().parse::<usize>().unwrap_or_else(|_| {
+        panic!("HAMS_THREADS must be a non-negative integer (0 = one per core), got {raw:?}")
+    });
+    (count > 0).then_some(count)
 }
 
 /// Maps `f` over `items` on a pool of scoped threads, preserving input
@@ -216,49 +156,20 @@ mod tests {
     }
 
     #[test]
-    fn partition_map_matches_serial_at_every_worker_count() {
-        let reference: Vec<u64> = (0..37u64).map(|i| i * i + 1).collect();
-        for workers in [1, 2, 3, 8, 64] {
-            let mut parts: Vec<u64> = (0..37).collect();
-            let out = scoped_partition_map(&mut parts, workers, |i, p| {
-                *p = p.wrapping_mul(*p);
-                *p + i as u64 - (i as u64 * i as u64) + (i as u64 * i as u64) - i as u64 + 1
-            });
-            assert_eq!(out, reference, "workers={workers}");
-            let squares: Vec<u64> = (0..37u64).map(|i| i * i).collect();
-            assert_eq!(parts, squares, "mutations must land, workers={workers}");
+    fn thread_count_parses_explicit_counts_and_defers_on_unset_or_zero() {
+        assert_eq!(parse_thread_count(None), None);
+        assert_eq!(parse_thread_count(Some("0")), None);
+        assert_eq!(parse_thread_count(Some("1")), Some(1));
+        assert_eq!(parse_thread_count(Some(" 8 ")), Some(8));
+        // Parsed only: nothing here spawns a worker.
+        assert_eq!(parse_thread_count(Some("100000")), Some(100_000));
+    }
+
+    #[test]
+    fn malformed_thread_counts_panic_instead_of_defaulting() {
+        for raw in ["abc", "-1", ""] {
+            let caught = std::panic::catch_unwind(|| parse_thread_count(Some(raw)));
+            assert!(caught.is_err(), "HAMS_THREADS={raw:?} must be refused");
         }
-    }
-
-    #[test]
-    fn partition_map_empty_singleton_and_more_workers_than_parts() {
-        let mut empty: Vec<u32> = Vec::new();
-        assert!(scoped_partition_map(&mut empty, 8, |_, p| *p).is_empty());
-        let mut one = [41u32];
-        assert_eq!(scoped_partition_map(&mut one, 8, |_, p| *p + 1), vec![42]);
-    }
-
-    #[test]
-    fn partition_map_indices_are_partition_order() {
-        let mut parts = [0usize; 23];
-        let idx = scoped_partition_map(&mut parts, 4, |i, _| i);
-        assert_eq!(idx, (0..23).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "bank boom")]
-    fn partition_map_panics_propagate_with_their_own_message() {
-        let mut parts: Vec<u64> = (0..16).collect();
-        let _ = scoped_partition_map(&mut parts, 4, |_, p| {
-            assert!(*p != 11, "bank boom");
-            *p
-        });
-    }
-
-    #[test]
-    fn cell_workers_defaults_to_one() {
-        // The test environment does not set HAMS_CELL_THREADS for unit
-        // tests; either way the resolved count must be positive.
-        assert!(cell_workers() >= 1);
     }
 }

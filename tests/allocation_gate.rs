@@ -20,9 +20,7 @@
 //!   shorter run, so the longer run measures their steady state.
 //!
 //! This binary holds a single test so no other test's allocations land in
-//! the shared counter. The counts are those of the default serial serving
-//! path; `HAMS_CELL_THREADS` above 1 spawns worker threads per batch, which
-//! allocates.
+//! the shared counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

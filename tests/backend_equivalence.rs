@@ -17,13 +17,13 @@
 //!    timing legitimately improves: that is what the fan-out buys, and the
 //!    `hams-TE-d{n}` sweep pins `d{n}` strictly beating `d1` on random
 //!    reads. Batched multi-device serving stays byte-identical to its own
-//!    serial reference (`run_workload_serial_backend`) at every thread
-//!    count and batch size.
+//!    serial reference (`run_workload_serial` on a platform given the same
+//!    topology) at every thread count and batch size.
 
 use hams::platforms::{
     build_cxl_platform, build_raid_sweep_platform, cxl_label, raid_sweep_label,
     register_hams_raid_sweep, run_grid_with, run_workload_backend, run_workload_serial,
-    run_workload_serial_backend, BackendTopology, PlatformKind, PlatformRegistry, ScaleProfile,
+    BackendTopology, PlatformKind, PlatformRegistry, ScaleProfile,
 };
 use hams::workloads::WorkloadSpec;
 
@@ -45,8 +45,8 @@ fn single_backend_is_byte_identical_to_the_pre_topology_reference_on_all_platfor
         // HAMS default is a RAID set, and `configure_backend` is exactly
         // the lever that opts back down to the pre-topology engine.
         let mut serial = kind.build(&scale);
-        let reference =
-            run_workload_serial_backend(serial.as_mut(), spec, &scale, BackendTopology::single());
+        serial.configure_backend(BackendTopology::single());
+        let reference = run_workload_serial(serial.as_mut(), spec, &scale);
         for topology in [BackendTopology::single(), BackendTopology::raid0(1)] {
             let mut configured = kind.build(&scale);
             let m = run_workload_backend(configured.as_mut(), spec, &scale, topology);
@@ -100,8 +100,9 @@ fn raid_serving_is_byte_identical_between_batched_and_serial_paths() {
         let spec = WorkloadSpec::by_name(workload).unwrap();
         for kind in [PlatformKind::HamsTE, PlatformKind::HamsLP] {
             let mut serial = kind.build(&scale);
+            serial.configure_backend(topology);
+            let s = run_workload_serial(serial.as_mut(), spec, &scale);
             let mut batched = kind.build(&scale);
-            let s = run_workload_serial_backend(serial.as_mut(), spec, &scale, topology);
             let b = run_workload_backend(batched.as_mut(), spec, &scale, topology);
             assert_eq!(
                 s,
@@ -178,7 +179,7 @@ fn raid_sweep_grid_rows_match_their_serial_twins() {
 
     // Serial reference: each sweep cell through the per-access loop. The
     // entries carry their BackendTopology in the constructor, so this loop
-    // *is* run_workload_serial_backend for them.
+    // is the backend serial reference for them.
     let serial: Vec<_> = label_refs
         .iter()
         .map(|label| {

@@ -18,9 +18,9 @@
 //!    the parallel grid, matching their own serial reference.
 
 use hams::platforms::{
-    register_hams_shard_sweep, run_grid_with, run_workload, run_workload_cell_parallel,
-    run_workload_serial, run_workload_serial_sharded, run_workload_sharded, shard_sweep_label,
-    PlatformKind, PlatformRegistry, ScaleProfile, ShardConfig,
+    register_hams_shard_sweep, run_grid_with, run_workload, run_workload_serial,
+    run_workload_sharded, shard_sweep_label, PlatformKind, PlatformRegistry, ScaleProfile,
+    ShardConfig,
 };
 use hams::workloads::WorkloadSpec;
 use proptest::prelude::*;
@@ -89,15 +89,11 @@ fn hash_policy_is_metrics_neutral() {
     let spec = WorkloadSpec::by_name("rndRd").unwrap();
     for kind in [PlatformKind::HamsTE, PlatformKind::HamsLP] {
         let mut interleaved = kind.build(&scale);
+        interleaved.configure_shards(ShardConfig::interleaved(4));
+        let a = run_workload_serial(interleaved.as_mut(), spec, &scale);
         let mut blocked = kind.build(&scale);
-        let a = run_workload_serial_sharded(
-            interleaved.as_mut(),
-            spec,
-            &scale,
-            ShardConfig::interleaved(4),
-        );
-        let b =
-            run_workload_serial_sharded(blocked.as_mut(), spec, &scale, ShardConfig::blocked(4));
+        blocked.configure_shards(ShardConfig::blocked(4));
+        let b = run_workload_serial(blocked.as_mut(), spec, &scale);
         assert_eq!(
             a,
             b,
@@ -110,14 +106,12 @@ fn hash_policy_is_metrics_neutral() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Randomized serving-shape generator: a random HAMS variant, shard
-    /// count *and* cell-thread count must all be byte-invisible at once.
-    /// Extends the deterministic suites above along the `HAMS_CELL_THREADS`
-    /// axis that `tests/cell_parallel_equivalence.rs` pins at fixed counts.
+    /// Randomized serving-shape generator: a random HAMS variant at a random
+    /// shard count, served batched, must land on the bytes of the unsharded
+    /// serial reference.
     #[test]
-    fn random_shard_and_cell_thread_shapes_are_byte_invisible(
+    fn random_shard_shapes_are_byte_invisible(
         shards in 1u16..9,
-        workers in 1usize..10,
         variant in 0usize..4,
     ) {
         let scale = tiny();
@@ -130,25 +124,25 @@ proptest! {
         ][variant];
         let mut serial = kind.build(&scale);
         let reference = run_workload_serial(serial.as_mut(), spec, &scale);
-        let mut parallel = kind.build(&scale);
-        parallel.configure_shards(ShardConfig::interleaved(shards));
-        let m = run_workload_cell_parallel(parallel.as_mut(), spec, &scale, workers);
+        let mut sharded = kind.build(&scale);
+        let m =
+            run_workload_sharded(sharded.as_mut(), spec, &scale, ShardConfig::interleaved(shards));
         prop_assert_eq!(
             m,
             reference,
-            "{}: {shards} shards x {workers} cell threads diverged from serial",
+            "{}: {shards} shards diverged from serial",
             kind.label()
         );
     }
 }
 
 /// The cross-axis smoke: grid workers (`HAMS_THREADS`, ambient via the CI
-/// matrix), tag-array shards, and cell threads all commute — every
-/// combination lands on the bytes of the unsharded serial reference. The
-/// registry entries bake the (shards × cell threads) shape into their
-/// constructors so the parallel grid exercises all of them in one sweep.
+/// matrix) and tag-array shards commute — every combination lands on the
+/// bytes of the unsharded serial reference. The registry entries bake the
+/// shard shape into their constructors so the parallel grid exercises all
+/// of them in one sweep.
 #[test]
-fn threads_shards_and_cell_threads_commute() {
+fn threads_and_shards_commute() {
     let scale = tiny();
     let spec = WorkloadSpec::by_name("update").unwrap();
     let mut reference = PlatformKind::HamsTE.build(&scale);
@@ -157,16 +151,13 @@ fn threads_shards_and_cell_threads_commute() {
     let mut registry = PlatformRegistry::new();
     let mut labels = Vec::new();
     for shards in [1u16, 4] {
-        for cell_threads in [1usize, 4] {
-            let label = format!("hams-TE-s{shards}-c{cell_threads}");
-            registry.register(label.clone(), move |scale: &ScaleProfile| {
-                let mut platform = PlatformKind::HamsTE.build(scale);
-                platform.configure_shards(ShardConfig::interleaved(shards));
-                platform.configure_cell_threads(cell_threads);
-                platform
-            });
-            labels.push(label);
-        }
+        let label = format!("hams-TE-s{shards}");
+        registry.register(label.clone(), move |scale: &ScaleProfile| {
+            let mut platform = PlatformKind::HamsTE.build(scale);
+            platform.configure_shards(ShardConfig::interleaved(shards));
+            platform
+        });
+        labels.push(label);
     }
     let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
     let grid = run_grid_with(&registry, &label_refs, &[spec], &scale);
@@ -189,7 +180,7 @@ fn shard_sweep_grid_is_byte_identical_across_counts_and_to_serial() {
 
     // Serial reference: each sweep cell through the per-access loop. The
     // sweep entries carry their ShardConfig in the constructor, so this loop
-    // *is* run_workload_serial_sharded for them.
+    // is the sharded serial reference for them.
     let serial: Vec<_> = label_refs
         .iter()
         .map(|label| {
